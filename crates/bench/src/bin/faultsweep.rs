@@ -40,7 +40,7 @@ use std::env;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use ss_harness::{run_plan_full, HarnessConfig, PlanReport, Tally};
+use ss_harness::{json_escape, run_plan_full, HarnessConfig, PlanReport, Tally};
 use ss_trace::MetricsRegistry;
 
 /// Events retained per run under `--trace`. Large enough to keep every
@@ -117,25 +117,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--trace needs --seed S (replay mode)".to_string());
     }
     Ok(opts)
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A tally as a JSON object (fixed key order, rendered by ss-harness).

@@ -6,8 +6,8 @@
 //!
 //! Runs the same tenant-teardown workload (16 tenants x 112 pages,
 //! 8 dirty lines per page, seed `0xC0_50_11` — the shardbench
-//! consolidation shape) against one controller per
-//! [`ss_core::MemoryProtection`] backend and reports four phases each:
+//! consolidation shape) against one controller per protection backend
+//! ([`ss_core::Protection`]) and reports four phases each:
 //!
 //! * **fill** — demand-write every dirty line of every tenant page;
 //! * **service** — read every dirty line back (round-trip checked
@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use ss_common::{BlockAddr, Cycles, DetRng, LINE_SIZE, PAGE_SIZE};
-use ss_core::{ControllerConfigBuilder, MemoryController, ProtectionMode};
+use ss_core::{ControllerConfigBuilder, MemoryController, Protection};
 use ss_crypto::Line;
 
 /// The consolidation workload shape, shared with `shardbench`.
@@ -102,12 +102,9 @@ fn workload() -> Vec<(u64, Vec<DirtyLine>)> {
 
 /// The per-backend controller: identical geometry for both backends so
 /// every column is an apples-to-apples comparison.
-fn config(protection: ProtectionMode) -> ss_core::ControllerConfig {
-    let builder = match protection {
-        ProtectionMode::ScatteredTwoShare => ControllerConfigBuilder::scattered(),
-        ProtectionMode::CounterMode => ControllerConfigBuilder::small_test(),
-    };
-    builder
+fn config(protection: Protection) -> ss_core::ControllerConfig {
+    ControllerConfigBuilder::small_test()
+        .protection(protection)
         .data_capacity(8 << 20)
         .counter_cache_bytes(64 << 10)
         .build()
@@ -130,7 +127,7 @@ impl BackendRow {
     }
 }
 
-fn run(protection: ProtectionMode, label: &'static str) -> Result<BackendRow, String> {
+fn run(protection: Protection, label: &'static str) -> Result<BackendRow, String> {
     let mut mc = MemoryController::new(config(protection)).map_err(|e| format!("{label}: {e}"))?;
     let pages = workload();
     let mut now = Cycles::ZERO;
@@ -276,8 +273,8 @@ fn main() -> ExitCode {
 
     let mut rows = Vec::new();
     for (protection, label) in [
-        (ProtectionMode::CounterMode, "counter"),
-        (ProtectionMode::ScatteredTwoShare, "scattered"),
+        (Protection::CounterMode, "counter"),
+        (Protection::ScatteredTwoShare, "scattered"),
     ] {
         match run(protection, label) {
             Ok(row) => rows.push(row),

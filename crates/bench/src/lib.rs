@@ -10,10 +10,10 @@
 //!   (counter-cache size sweep), Table 2 (measured feature matrix of
 //!   initialization mechanisms), plus the ablations DESIGN.md lists.
 //!
-//! The `repro` binary prints each artifact; `cargo bench` runs plain
-//! wall-clock timings (see [`runner::time_it`]) over the same code paths,
-//! and the `faultsweep` binary runs the fault-injection campaign from the
-//! `ss-harness` crate.
+//! The `repro` binary prints each artifact, and the `faultsweep`,
+//! `attacksweep` and `crashsweep` binaries run the fault, adversary and
+//! crash campaigns from the `ss-harness` crate. Host-time measurement
+//! lives in the root package's `perfbench` binary.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,7 @@ use ss_workloads::Workload;
 /// DESIGN.md; both scales preserve the baseline-vs-shredder comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Tiny: seconds per figure. Used by the timing benches and CI.
+    /// Tiny: seconds per figure. Used by `repro --quick` and the tests.
     Quick,
     /// The default for the `repro` binary.
     Full,
@@ -57,51 +57,6 @@ impl ExperimentScale {
         cfg.hierarchy.cores = self.cores();
         cfg
     }
-}
-
-/// Times `iters` calls of `f` and prints the mean per-iteration cost.
-///
-/// This replaces the external benchmark harness: the workspace must
-/// build with no network access, so the `benches/` programs measure
-/// with plain [`std::time::Instant`] and report mean wall-clock time.
-/// Numbers are indicative, not statistically rigorous.
-///
-/// # Panics
-///
-/// Panics if `iters == 0`.
-pub fn time_it<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) {
-    assert!(iters > 0, "need at least one iteration");
-    std::hint::black_box(f()); // warm-up
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per_iter = start.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
-    println!("  {label:<44} {per_iter:>12.2} us/iter ({iters} iters)");
-}
-
-/// [`time_it`] with a fresh, untimed `setup` before every iteration
-/// (for workloads that consume their input).
-///
-/// # Panics
-///
-/// Panics if `iters == 0`.
-pub fn time_with_setup<S, T>(
-    label: &str,
-    iters: u32,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) {
-    assert!(iters > 0, "need at least one iteration");
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters {
-        let input = setup();
-        let start = std::time::Instant::now();
-        std::hint::black_box(f(input));
-        total += start.elapsed();
-    }
-    let per_iter = total.as_secs_f64() * 1e6 / f64::from(iters);
-    println!("  {label:<44} {per_iter:>12.2} us/iter ({iters} iters)");
 }
 
 /// Runs `workload` multiprogrammed (one instance per core, different

@@ -5,38 +5,41 @@ use ss_nvm::{EccConfig, NvmTiming};
 
 use crate::heal::RetryPolicy;
 
-/// How lines are encrypted on their way to NVM.
+/// How the controller protects each line on its way to NVM
+/// (DESIGN.md §15). One value picks the whole scheme, so a cipher can
+/// never be combined with a backend it does not belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EncryptionMode {
-    /// No encryption (vulnerable to remanence attacks; the pre-security
-    /// baseline).
-    None,
+pub enum Protection {
+    /// No protection: plaintext in the array (vulnerable to remanence
+    /// attacks; the pre-security baseline).
+    Plain,
     /// Direct/ECB encryption: secure against casual scanning but leaks
     /// equality and adds decryption latency to the miss path (§2.2).
     Ecb,
-    /// Counter-mode encryption (the paper's assumed design).
-    Ctr,
-}
-
-/// Which memory-protection backend the controller runs
-/// (DESIGN.md §15). The backend owns the encrypt-on-write /
-/// decrypt-on-read / shred / rescue-remap / recovery-reverify surface
-/// behind the [`crate::protection::MemoryProtection`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtectionMode {
     /// The paper's design: counter-mode AES-CTR with per-page major and
     /// per-block minor counters, shred = major bump + minor reset.
-    /// Behaviour is governed by the [`EncryptionMode`] axis exactly as
-    /// before the trait existed.
     CounterMode,
     /// Scattered two-share memory (cf. *Secure Scattered Memory*,
     /// arXiv:2402.15824): every line is secret-shared into a
     /// uniform-random share in the data region and an XOR-masked share
     /// in a disjoint mask region. Either share alone is a one-time pad
-    /// of nothing; shred = discard the masked share. Requires
-    /// `encryption == None` — the split *is* the confidentiality
-    /// mechanism.
+    /// of nothing; shred = discard the masked share. No cipher: the
+    /// split *is* the confidentiality mechanism.
     ScatteredTwoShare,
+}
+
+impl Protection {
+    /// Whether this protection keeps one metadata line per page in the
+    /// counter region: encryption counters under counter mode, block
+    /// liveness under the scattered backend. Only these configurations
+    /// have counter-cache lines to drop or flush, a region for the
+    /// Merkle tree to cover, and shredded pages to census on recovery.
+    pub fn has_counter_region(self) -> bool {
+        matches!(
+            self,
+            Protection::CounterMode | Protection::ScatteredTwoShare
+        )
+    }
 }
 
 /// Which §4.2 design option a shred command applies to the counters.
@@ -96,15 +99,14 @@ pub enum CounterPersistence {
 pub struct ControllerConfig {
     /// Bytes of data memory behind the controller (frames × 4 KiB).
     pub data_capacity: u64,
-    /// Encryption mode.
-    pub encryption: EncryptionMode,
-    /// Memory-protection backend. [`ProtectionMode::CounterMode`] (the
-    /// default) reproduces the paper's controller byte for byte;
-    /// [`ProtectionMode::ScatteredTwoShare`] secret-shares lines across
-    /// two NVM regions instead of encrypting them.
-    pub protection: ProtectionMode,
+    /// How lines are protected at rest. [`Protection::CounterMode`] (the
+    /// default) is the paper's controller;
+    /// [`Protection::ScatteredTwoShare`] secret-shares lines across two
+    /// NVM regions instead of encrypting them.
+    pub protection: Protection,
     /// Whether the Silent Shredder mechanism (shred command + zero-fill
-    /// reads) is enabled. Requires `encryption == Ctr`.
+    /// reads) is enabled. Requires counter mode or the scattered
+    /// backend.
     pub shredder: bool,
     /// Shred strategy (only meaningful when `shredder`).
     pub shred_strategy: ShredStrategy,
@@ -181,8 +183,7 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             data_capacity: 1 << 30,
-            encryption: EncryptionMode::Ctr,
-            protection: ProtectionMode::CounterMode,
+            protection: Protection::CounterMode,
             shredder: true,
             shred_strategy: ShredStrategy::MajorBumpResetMinors,
             counter_cache_bytes: 4 << 20,
@@ -236,7 +237,7 @@ impl ControllerConfig {
     /// demonstrations).
     pub fn plain() -> Self {
         ControllerConfig {
-            encryption: EncryptionMode::None,
+            protection: Protection::Plain,
             shredder: false,
             integrity: false,
             ..ControllerConfig::default()
@@ -245,12 +246,10 @@ impl ControllerConfig {
 
     /// The scattered two-share backend: lines are secret-shared across
     /// two NVM regions, shred = discard the masked share. Keeps the
-    /// shred command and liveness-metadata integrity on; encryption is
-    /// `None` because the split is the confidentiality mechanism.
+    /// shred command and liveness-metadata integrity on.
     pub fn scattered() -> Self {
         ControllerConfig {
-            protection: ProtectionMode::ScatteredTwoShare,
-            encryption: EncryptionMode::None,
+            protection: Protection::ScatteredTwoShare,
             shredder: true,
             ..ControllerConfig::default()
         }
@@ -277,26 +276,18 @@ impl ControllerConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the shredder is enabled
-    /// without counter mode, the capacity is not page-aligned or zero, or
-    /// DEUCE is combined with a non-CTR mode.
+    /// under `Plain` or `Ecb`, the capacity is not page-aligned or zero,
+    /// or DEUCE is combined with anything but counter mode.
     pub fn validate(&self) -> Result<()> {
         if self.data_capacity == 0 || !self.data_capacity.is_multiple_of(PAGE_SIZE as u64) {
             return Err(Error::InvalidConfig {
                 detail: format!("data capacity {} not page aligned", self.data_capacity),
             });
         }
-        if self.protection == ProtectionMode::ScatteredTwoShare {
-            // The scattered backend's share split is the confidentiality
-            // mechanism; the counter-mode axes it replaces must be off,
-            // and the machinery it has no share-consistent story for
-            // (DEUCE chunk metadata, write-queue coalescing, Start-Gap
-            // moves) is rejected at this single choke point.
-            if self.encryption != EncryptionMode::None {
-                return Err(Error::InvalidConfig {
-                    detail: "scattered two-share mode replaces encryption; set encryption to None"
-                        .into(),
-                });
-            }
+        if self.protection == Protection::ScatteredTwoShare {
+            // The machinery the scattered backend has no share-consistent
+            // story for (DEUCE chunk metadata, write-queue coalescing,
+            // Start-Gap moves) is rejected at this single choke point.
             if self.shredder && self.shred_strategy != ShredStrategy::MajorBumpResetMinors {
                 return Err(Error::InvalidConfig {
                     detail: "scattered shredding requires the major-bump-reset-minors strategy"
@@ -320,15 +311,12 @@ impl ControllerConfig {
                 });
             }
         }
-        if self.protection == ProtectionMode::CounterMode
-            && self.shredder
-            && self.encryption != EncryptionMode::Ctr
-        {
+        if self.shredder && matches!(self.protection, Protection::Plain | Protection::Ecb) {
             return Err(Error::InvalidConfig {
                 detail: "silent shredder requires counter-mode encryption".into(),
             });
         }
-        if self.deuce && self.encryption != EncryptionMode::Ctr {
+        if self.deuce && self.protection != Protection::CounterMode {
             return Err(Error::InvalidConfig {
                 detail: "deuce requires counter-mode encryption".into(),
             });
@@ -352,7 +340,7 @@ impl ControllerConfig {
             // drop ciphertext whose counters already advanced; DEUCE
             // chunk metadata and Start-Gap moves mutate mapping state
             // with no journaled pre-image.
-            if self.write_queue.is_some() && self.encryption == EncryptionMode::Ctr {
+            if self.write_queue.is_some() && self.protection == Protection::CounterMode {
                 return Err(Error::InvalidConfig {
                     detail: "ADR domain cannot cover an encrypted (counter-mode) write queue; \
                              use eADR or drop the queue"
@@ -501,13 +489,12 @@ impl ShardedConfig {
 /// # Examples
 ///
 /// ```
-/// use ss_core::{ControllerConfig, ProtectionMode};
+/// use ss_core::{ControllerConfig, Protection};
 ///
 /// let cfg = ControllerConfig::builder()
 ///     .data_capacity(1 << 20)
 ///     .counter_cache_bytes(16 << 10)
-///     .protection(ProtectionMode::ScatteredTwoShare)
-///     .encryption(ss_core::EncryptionMode::None)
+///     .protection(Protection::ScatteredTwoShare)
 ///     .build()
 ///     .expect("valid scattered config");
 /// assert!(cfg.shredder);
@@ -557,15 +544,9 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Sets the encryption mode.
-    pub fn encryption(mut self, mode: EncryptionMode) -> Self {
-        self.cfg.encryption = mode;
-        self
-    }
-
-    /// Selects the memory-protection backend.
-    pub fn protection(mut self, mode: ProtectionMode) -> Self {
-        self.cfg.protection = mode;
+    /// Selects how lines are protected at rest.
+    pub fn protection(mut self, protection: Protection) -> Self {
+        self.cfg.protection = protection;
         self
     }
 
@@ -738,7 +719,7 @@ mod tests {
         let c = ControllerConfig::default();
         assert!(c.validate().is_ok());
         assert!(c.shredder);
-        assert_eq!(c.encryption, EncryptionMode::Ctr);
+        assert_eq!(c.protection, Protection::CounterMode);
         assert_eq!(c.counter_cache_bytes, 4 << 20);
     }
 
@@ -752,7 +733,7 @@ mod tests {
     #[test]
     fn shredder_requires_ctr() {
         let c = ControllerConfig {
-            encryption: EncryptionMode::Ecb,
+            protection: Protection::Ecb,
             ..ControllerConfig::default()
         };
         assert!(c.validate().is_err());
@@ -841,18 +822,9 @@ mod tests {
     fn scattered_preset_is_valid_and_axes_are_rejected() {
         let s = ControllerConfig::scattered();
         assert!(s.validate().is_ok());
-        assert_eq!(s.protection, ProtectionMode::ScatteredTwoShare);
-        assert_eq!(s.encryption, EncryptionMode::None);
+        assert_eq!(s.protection, Protection::ScatteredTwoShare);
         assert!(s.shredder);
 
-        // Scattered replaces encryption entirely.
-        for mode in [EncryptionMode::Ecb, EncryptionMode::Ctr] {
-            let bad = ControllerConfig {
-                encryption: mode,
-                ..ControllerConfig::scattered()
-            };
-            assert!(bad.validate().is_err(), "{mode:?} must be rejected");
-        }
         // Only the major-bump-reset-minors strategy keeps the liveness
         // metadata shred-consistent.
         let bad_strategy = ControllerConfig {
@@ -888,17 +860,16 @@ mod tests {
     #[test]
     fn builder_validates_at_build_time() {
         let cfg = ControllerConfigBuilder::small_test()
-            .protection(ProtectionMode::ScatteredTwoShare)
-            .encryption(EncryptionMode::None)
+            .protection(Protection::ScatteredTwoShare)
             .spare_lines(8)
             .build()
             .unwrap();
-        assert_eq!(cfg.protection, ProtectionMode::ScatteredTwoShare);
+        assert_eq!(cfg.protection, Protection::ScatteredTwoShare);
         assert_eq!(cfg.spare_lines, 8);
 
-        // The invalid combo is caught at the single choke point.
+        // Invalid combos are caught at the single choke point.
         assert!(ControllerConfigBuilder::small_test()
-            .protection(ProtectionMode::ScatteredTwoShare)
+            .protection(Protection::Ecb)
             .build()
             .is_err());
         assert!(ControllerConfigBuilder::scattered()
@@ -914,5 +885,47 @@ mod tests {
         assert!(ShardedConfig::builder(3, ControllerConfig::small_test())
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn protection_axis_accepts_exactly_the_legal_set() {
+        for (protection, counter_region) in [
+            (Protection::Plain, false),
+            (Protection::Ecb, false),
+            (Protection::CounterMode, true),
+            (Protection::ScatteredTwoShare, true),
+        ] {
+            assert_eq!(
+                protection.has_counter_region(),
+                counter_region,
+                "{protection:?}"
+            );
+            for shredder in [false, true] {
+                for deuce in [false, true] {
+                    for integrity in [false, true] {
+                        let cfg = ControllerConfig {
+                            protection,
+                            shredder,
+                            deuce,
+                            integrity,
+                            ..ControllerConfig::small_test()
+                        };
+                        // The shredder needs per-page metadata to reset;
+                        // DEUCE's chunk minors exist only in counter mode.
+                        let legal = match protection {
+                            Protection::Plain | Protection::Ecb => !shredder && !deuce,
+                            Protection::CounterMode => true,
+                            Protection::ScatteredTwoShare => !deuce,
+                        };
+                        assert_eq!(
+                            cfg.validate().is_ok(),
+                            legal,
+                            "{protection:?} shredder={shredder} deuce={deuce} \
+                             integrity={integrity}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

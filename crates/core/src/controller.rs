@@ -14,9 +14,7 @@ use ss_trace::{
 };
 
 use crate::channel::ChannelSched;
-use crate::config::{
-    ControllerConfig, CounterPersistence, EncryptionMode, PersistDomain, ProtectionMode,
-};
+use crate::config::{ControllerConfig, CounterPersistence, PersistDomain, Protection};
 use crate::counters::{BumpOutcome, CounterBlock};
 use crate::deuce::{self, DeuceMeta, CHUNKS};
 use crate::heal::{HealthStats, SparePool};
@@ -24,7 +22,6 @@ use crate::mmio;
 use crate::persist::{
     self, CrashCut, EntryKind, JournalEntry, PersistState, RecoveryReport, SeqTag,
 };
-use crate::protection::ProtStats;
 use crate::wqueue::WriteQueue;
 use ss_nvm::StartGap;
 
@@ -66,14 +63,35 @@ pub struct ControllerStats {
     pub prot: ProtStats,
 }
 
+/// Scattered-backend activity counters, exported under `prot.*` when
+/// the backend is active (the counter-mode metrics schema is
+/// unchanged — the keys only exist for scattered configurations).
+#[derive(Debug, Clone, Default)]
+pub struct ProtStats {
+    /// Share pairs written (one random share + one masked share each).
+    pub share_writes: Counter,
+    /// Mask-region line writes (share-pair writes + shred discards).
+    pub mask_writes: Counter,
+    /// Reads served by recombining both shares.
+    pub share_reads: Counter,
+    /// XOR recombinations performed (reads + rescues).
+    pub recombines: Counter,
+    /// Mask lines discarded (overwritten with fresh randomness) by
+    /// shred commands.
+    pub mask_discards: Counter,
+    /// Spare-pool rescues that re-shared the plaintext under a fresh
+    /// pad (a spare never inherits a used one).
+    pub fresh_share_rescues: Counter,
+}
+
 /// The memory controller. See the crate docs for the mechanism overview.
 #[derive(Debug)]
 pub struct MemoryController {
     config: ControllerConfig,
     nvm: NvmDevice,
     counter_cache: SetAssocCache<CounterBlock>,
-    ctr: Option<CtrEngine>,
-    ecb: Option<EcbEngine>,
+    ctr: CtrEngine,
+    ecb: EcbEngine,
     merkle: Option<MerkleTree>,
     channels: ChannelSched,
     deuce_meta: BTreeMap<u64, DeuceMeta>,
@@ -157,7 +175,7 @@ impl MemoryController {
         // per data line) after the journal; under counter mode it is
         // empty, so the device layout is bit-for-bit the historical one.
         let mask_base = journal_base + journal_lines * LINE_SIZE as u64;
-        let mask_lines = if config.protection == ProtectionMode::ScatteredTwoShare {
+        let mask_lines = if config.protection == Protection::ScatteredTwoShare {
             config.data_capacity / LINE_SIZE as u64
         } else {
             0
@@ -179,10 +197,7 @@ impl MemoryController {
         )?);
         // The scattered backend reuses the counter region as its block
         // liveness metadata, so the same integrity tree covers it.
-        let merkle = if config.integrity
-            && (config.encryption == EncryptionMode::Ctr
-                || config.protection == ProtectionMode::ScatteredTwoShare)
-        {
+        let merkle = if config.integrity && config.protection.has_counter_region() {
             Some(MerkleTree::with_initial_leaf(
                 frames as usize,
                 &CounterBlock::default().to_line(),
@@ -190,8 +205,6 @@ impl MemoryController {
         } else {
             None
         };
-        let ctr = (config.encryption == EncryptionMode::Ctr).then(|| CtrEngine::new(config.key));
-        let ecb = (config.encryption == EncryptionMode::Ecb).then(|| EcbEngine::new(config.key));
         let channels = ChannelSched::new(&config.nvm_timing);
         let start_gap = config_start_gap(&config);
         let wqueue = config_wqueue(&config)?;
@@ -201,6 +214,8 @@ impl MemoryController {
         key_word.copy_from_slice(&config.key[..8]);
         let share_rng =
             DetRng::new(u64::from_le_bytes(key_word) ^ SHARE_DOMAIN ^ config.nvm_fault_seed);
+        let ctr = CtrEngine::new(config.key);
+        let ecb = EcbEngine::new(config.key);
         Ok(MemoryController {
             config,
             nvm,
@@ -758,14 +773,18 @@ impl MemoryController {
         // `prot.*` exists only for scattered configurations: the
         // counter-mode key set (and thus every committed metrics
         // golden) is exactly the historical schema.
-        if self.config.protection == ProtectionMode::ScatteredTwoShare {
+        if self.config.protection == Protection::ScatteredTwoShare {
             reg.set("prot.share_writes", s.prot.share_writes.get());
             reg.set("prot.mask_writes", s.prot.mask_writes.get());
             reg.set("prot.share_reads", s.prot.share_reads.get());
             reg.set("prot.recombines", s.prot.recombines.get());
             reg.set("prot.mask_discards", s.prot.mask_discards.get());
             reg.set("prot.fresh_share_rescues", s.prot.fresh_share_rescues.get());
-            reg.set("prot.metadata_lines", self.scattered_metadata_lines());
+            // One liveness line per page plus one mask line per data line.
+            reg.set(
+                "prot.metadata_lines",
+                self.config.frames() + self.config.data_capacity / LINE_SIZE as u64,
+            );
         }
         self.nvm.stats().export(&mut reg, "nvm");
         self.profile.export(&mut reg);
@@ -917,16 +936,22 @@ impl MemoryController {
         }
     }
 
-    fn decrypt_ctr(&self, addr: BlockAddr, ctrs: &CounterBlock, cipher: &Line) -> Result<Line> {
-        let engine = engine_of(&self.ctr, "ctr")?;
+    fn decrypt_ctr(&self, addr: BlockAddr, ctrs: &CounterBlock, cipher: &Line) -> Line {
         let page = addr.page();
         let block = addr.block_in_page();
-        Ok(if self.config.deuce {
+        if self.config.deuce {
             let minors = self.chunk_minors(addr, ctrs.minors[block]);
-            deuce::decrypt_chunked(engine, page.raw(), block as u8, ctrs.major, minors, cipher)
+            deuce::decrypt_chunked(
+                &self.ctr,
+                page.raw(),
+                block as u8,
+                ctrs.major,
+                minors,
+                cipher,
+            )
         } else {
-            engine.decrypt_line(&ctrs.iv(page.raw(), block), cipher)
-        })
+            self.ctr.decrypt_line(&ctrs.iv(page.raw(), block), cipher)
+        }
     }
 
     // ------------------------------------------------------------------
@@ -986,18 +1011,13 @@ impl MemoryController {
             return Ok(());
         }
         // Queued writes to this line must land first so the rescue read
-        // below sees the newest ciphertext.
+        // below sees the newest ciphertext. The drain can move Start-Gap
+        // and spare mappings, so the slot is resolved again after it.
         self.drain_queue_fully(now)?;
-        crate::protection::backend(self.config.protection).rescue_remap(self, addr, now)
-    }
-
-    /// Counter-mode rescue (and the `None`/`Ecb` baselines) — the
-    /// pre-trait remap body after the quarantine/healed/drain guards.
-    pub(crate) fn legacy_rescue_remap(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
         let dev = self.device_addr(addr);
         let slot = self.heal.redirect(dev);
-        match self.config.encryption {
-            EncryptionMode::None | EncryptionMode::Ecb => {
+        match self.config.protection {
+            Protection::Plain | Protection::Ecb => {
                 let rescued = match self.read_line_healing(slot) {
                     Ok(r) => r.into_data(),
                     Err(Error::UncorrectableEcc { .. }) => return self.fail_remap(dev),
@@ -1015,7 +1035,7 @@ impl MemoryController {
                     ok: true,
                 });
             }
-            EncryptionMode::Ctr => {
+            Protection::CounterMode => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (ctrs, _) = self.fetch_counters(page, now)?;
@@ -1041,7 +1061,7 @@ impl MemoryController {
                     Err(Error::UncorrectableEcc { .. }) => return self.fail_remap(dev),
                     Err(e) => return Err(e),
                 };
-                let plain = self.decrypt_ctr(addr, &ctrs, &cipher)?;
+                let plain = self.decrypt_ctr(addr, &ctrs, &cipher);
                 // Fresh IV: bump the minor exactly like a demand write,
                 // so rescued plaintext is never re-encrypted under a
                 // previously used (page, block, counter) tuple.
@@ -1058,9 +1078,8 @@ impl MemoryController {
                 let new_cipher = if self.config.deuce {
                     self.deuce_meta
                         .insert(addr.raw(), DeuceMeta::new_epoch(minor));
-                    let engine = engine_of(&self.ctr, "ctr")?;
                     deuce::encrypt_chunked(
-                        engine,
+                        &self.ctr,
                         page.raw(),
                         block as u8,
                         new_ctrs.major,
@@ -1068,8 +1087,8 @@ impl MemoryController {
                         &plain,
                     )
                 } else {
-                    let engine = engine_of(&self.ctr, "ctr")?;
-                    engine.encrypt_line(&new_ctrs.iv(page.raw(), block), &plain)
+                    self.ctr
+                        .encrypt_line(&new_ctrs.iv(page.raw(), block), &plain)
                 };
                 let Some(new_slot) = self.heal.allocate(dev) else {
                     return self.fail_remap(dev);
@@ -1085,6 +1104,9 @@ impl MemoryController {
                     addr: dev,
                     ok: true,
                 });
+            }
+            Protection::ScatteredTwoShare => {
+                return self.scattered_rescue_remap(addr, dev, slot, now)
             }
         }
         Ok(())
@@ -1159,19 +1181,8 @@ impl MemoryController {
     pub fn read_block(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
         self.op_now = now;
         self.check_data_addr(addr)?;
-        let result =
-            crate::protection::backend(self.config.protection).read_line(self, addr, now)?;
-        self.process_pending_heal(now)?;
-        self.stats.mem.read_latency.record(result.latency);
-        Ok(result)
-    }
-
-    /// Counter-mode read path (and the `None`/`Ecb` baselines) — the
-    /// pre-trait [`MemoryController::read_block`] body, dispatched via
-    /// [`crate::protection::CounterModeBackend`].
-    pub(crate) fn legacy_read_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
-        let result = match self.config.encryption {
-            EncryptionMode::None => {
+        let result = match self.config.protection {
+            Protection::Plain => {
                 let read_lat = self.sched(now, self.config.nvm_timing.read_cycles());
                 self.profile.charge(Stage::NvmRead, read_lat);
                 let data = self.nvm_read_data(addr)?;
@@ -1182,7 +1193,7 @@ impl MemoryController {
                     zero_filled: false,
                 }
             }
-            EncryptionMode::Ecb => {
+            Protection::Ecb => {
                 // Direct encryption: AES latency is serialised after the
                 // array access (§2.2's performance argument against ECB).
                 let read_lat = self.sched(now, self.config.nvm_timing.read_cycles());
@@ -1191,14 +1202,14 @@ impl MemoryController {
                 let latency = read_lat + self.config.aes_latency;
                 let cipher = self.nvm_read_data(addr)?;
                 self.stats.mem.reads.inc();
-                let data = engine_of(&self.ecb, "ecb")?.decrypt_line(&cipher);
+                let data = self.ecb.decrypt_line(&cipher);
                 ReadResult {
                     data,
                     latency,
                     zero_filled: false,
                 }
             }
-            EncryptionMode::Ctr => {
+            Protection::CounterMode => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (ctrs, ctr_lat) = self.fetch_counters(page, now)?;
@@ -1222,7 +1233,7 @@ impl MemoryController {
                     let latency = ctr_lat + read_lat + self.config.xor_latency;
                     let cipher = self.nvm_read_data(addr)?;
                     self.stats.mem.reads.inc();
-                    let data = self.decrypt_ctr(addr, &ctrs, &cipher)?;
+                    let data = self.decrypt_ctr(addr, &ctrs, &cipher);
                     ReadResult {
                         data,
                         latency,
@@ -1230,7 +1241,10 @@ impl MemoryController {
                     }
                 }
             }
+            Protection::ScatteredTwoShare => self.scattered_read_line(addr, now)?,
         };
+        self.process_pending_heal(now)?;
+        self.stats.mem.read_latency.record(result.latency);
         Ok(result)
     }
 
@@ -1263,27 +1277,8 @@ impl MemoryController {
         zeroing: bool,
         now: Cycles,
     ) -> Result<Cycles> {
-        crate::protection::backend(self.config.protection).write_line(self, addr, data, now)?;
-        self.stats.mem.writes.inc();
-        if zeroing {
-            self.stats.mem.zeroing_writes.inc();
-        }
-        self.maybe_scrub(now)?;
-        self.process_pending_heal(now)?;
-        Ok(Cycles::new(1))
-    }
-
-    /// Counter-mode write path (and the `None`/`Ecb` baselines) — the
-    /// pre-trait [`MemoryController::write_block`] body, dispatched via
-    /// [`crate::protection::CounterModeBackend`].
-    pub(crate) fn legacy_write_line(
-        &mut self,
-        addr: BlockAddr,
-        data: &Line,
-        now: Cycles,
-    ) -> Result<()> {
-        match self.config.encryption {
-            EncryptionMode::None => {
+        match self.config.protection {
+            Protection::Plain => {
                 if self.wqueue.is_none() {
                     let write_lat = self.config.nvm_timing.write_cycles();
                     self.sched(now, write_lat);
@@ -1291,9 +1286,9 @@ impl MemoryController {
                 }
                 self.nvm_write_data(addr, data)?;
             }
-            EncryptionMode::Ecb => {
+            Protection::Ecb => {
                 self.profile.charge(Stage::AesEcb, self.config.aes_latency);
-                let cipher = engine_of(&self.ecb, "ecb")?.encrypt_line(data);
+                let cipher = self.ecb.encrypt_line(data);
                 if self.wqueue.is_none() {
                     let write_lat = self.config.nvm_timing.write_cycles();
                     self.sched(now, write_lat);
@@ -1301,7 +1296,7 @@ impl MemoryController {
                 }
                 self.nvm_write_data(addr, &cipher)?;
             }
-            EncryptionMode::Ctr => {
+            Protection::CounterMode => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (mut ctrs, _lat) = self.fetch_counters(page, now)?;
@@ -1315,9 +1310,9 @@ impl MemoryController {
                 }
                 self.profile.charge(Stage::AesCtr, self.config.xor_latency);
                 let cipher = if self.config.deuce {
-                    self.deuce_write_cipher(addr, &old_ctrs, &ctrs, data)?
+                    self.deuce_write_cipher(addr, &old_ctrs, &ctrs, data)
                 } else {
-                    engine_of(&self.ctr, "ctr")?.encrypt_line(&ctrs.iv(page.raw(), block), data)
+                    self.ctr.encrypt_line(&ctrs.iv(page.raw(), block), data)
                 };
                 if self.wqueue.is_none() {
                     let write_lat = self.config.nvm_timing.write_cycles();
@@ -1327,8 +1322,15 @@ impl MemoryController {
                 self.nvm_write_data(addr, &cipher)?;
                 self.install_counters(page, ctrs, true, now)?;
             }
+            Protection::ScatteredTwoShare => self.scattered_write_line(addr, data, now, true)?,
         }
-        Ok(())
+        self.stats.mem.writes.inc();
+        if zeroing {
+            self.stats.mem.zeroing_writes.inc();
+        }
+        self.maybe_scrub(now)?;
+        self.process_pending_heal(now)?;
+        Ok(Cycles::new(1))
     }
 
     /// Computes the DEUCE ciphertext for a write: unmodified chunks keep
@@ -1340,8 +1342,7 @@ impl MemoryController {
         old_ctrs: &CounterBlock,
         new_ctrs: &CounterBlock,
         data: &Line,
-    ) -> Result<Line> {
-        let engine = engine_of(&self.ctr, "ctr")?;
+    ) -> Line {
         let page = addr.page();
         let block = addr.block_in_page();
         let new_minor = new_ctrs.minors[block];
@@ -1352,14 +1353,14 @@ impl MemoryController {
             // Whole line under the new minor; epoch restarts here.
             self.deuce_meta
                 .insert(addr.raw(), DeuceMeta::new_epoch(new_minor));
-            return Ok(deuce::encrypt_chunked(
-                engine,
+            return deuce::encrypt_chunked(
+                &self.ctr,
                 page.raw(),
                 block as u8,
                 new_ctrs.major,
                 [new_minor; CHUNKS],
                 data,
-            ));
+            );
         }
         // Recover the old plaintext (hardware knows the dirty-word mask
         // from the cache; we reconstruct it by decrypting the old line —
@@ -1368,7 +1369,7 @@ impl MemoryController {
         let old_minor = old_ctrs.minors[block];
         let old_minors = self.chunk_minors(addr, old_minor);
         let old_plain = deuce::decrypt_chunked(
-            engine,
+            &self.ctr,
             page.raw(),
             block as u8,
             old_ctrs.major,
@@ -1394,7 +1395,7 @@ impl MemoryController {
             }
         }
         let full_new = deuce::encrypt_chunked(
-            engine,
+            &self.ctr,
             page.raw(),
             block as u8,
             new_ctrs.major,
@@ -1407,7 +1408,7 @@ impl MemoryController {
             }
         }
         self.deuce_meta.insert(addr.raw(), meta);
-        Ok(cipher)
+        cipher
     }
 
     /// Re-encrypts every live block of `page` after a minor-counter
@@ -1432,10 +1433,9 @@ impl MemoryController {
             self.sched(now, self.config.nvm_timing.read_cycles());
             let cipher = self.nvm_read_data(addr)?;
             self.stats.mem.reads.inc();
-            let plain = self.decrypt_ctr(addr, old_ctrs, &cipher)?;
+            let plain = self.decrypt_ctr(addr, old_ctrs, &cipher);
             self.deuce_meta.remove(&addr.raw());
-            let engine = engine_of(&self.ctr, "ctr")?;
-            let new_cipher = engine.encrypt_line(&new_ctrs.iv(page.raw(), b), &plain);
+            let new_cipher = self.ctr.encrypt_line(&new_ctrs.iv(page.raw(), b), &plain);
             self.sched(now, self.config.nvm_timing.write_cycles());
             self.nvm_write_data(addr, &new_cipher)?;
             self.stats.mem.writes.inc();
@@ -1494,50 +1494,48 @@ impl MemoryController {
                 capacity: self.config.data_capacity,
             });
         }
-        let mut latency =
-            crate::protection::backend(self.config.protection).shred_page(self, page, now)?;
+        let mut latency = match self.config.protection {
+            // `validate` rejects the shredder under Plain and Ecb, so the
+            // guard above keeps those two arms unreachable.
+            Protection::Plain | Protection::Ecb | Protection::CounterMode => {
+                let (mut ctrs, latency) = self.fetch_counters(page, now)?;
+                let old_ctrs = ctrs;
+                let overflowed = ctrs.shred(self.config.shred_strategy);
+                if overflowed {
+                    // Only ShredStrategy::MinorIncrementAll can land here; no
+                    // single block is exempt from re-encryption, so pass an
+                    // out-of-band skip index by re-encrypting all live blocks.
+                    self.stats.reencryptions.inc();
+                    for b in 0..BLOCKS_PER_PAGE {
+                        if old_ctrs.is_shredded(b) {
+                            continue;
+                        }
+                        let addr = page.block_addr(b);
+                        self.sched(now, self.config.nvm_timing.read_cycles());
+                        let cipher = self.nvm_read_data(addr)?;
+                        self.stats.mem.reads.inc();
+                        let plain = self.decrypt_ctr(addr, &old_ctrs, &cipher);
+                        self.deuce_meta.remove(&addr.raw());
+                        let new_cipher = self.ctr.encrypt_line(&ctrs.iv(page.raw(), b), &plain);
+                        self.sched(now, self.config.nvm_timing.write_cycles());
+                        self.nvm_write_data(addr, &new_cipher)?;
+                        self.stats.mem.writes.inc();
+                    }
+                }
+                // Drop DEUCE state: the page restarts from scratch.
+                for b in 0..BLOCKS_PER_PAGE {
+                    self.deuce_meta.remove(&page.block_addr(b).raw());
+                }
+                self.install_counters(page, ctrs, true, now)?;
+                latency
+            }
+            Protection::ScatteredTwoShare => self.scattered_shred_page(page, now)?,
+        };
         self.stats.shreds.inc();
         self.tracer.emit(now, || TraceEvent::Shred { page });
         self.process_pending_heal(now)?;
         // Counter update + ack (Fig. 6 steps 3–5).
         latency += Cycles::new(4);
-        Ok(latency)
-    }
-
-    /// Counter-mode shred core — the pre-trait
-    /// [`MemoryController::shred_page_at`] body between the privilege
-    /// guards and the shred accounting.
-    pub(crate) fn legacy_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
-        let (mut ctrs, latency) = self.fetch_counters(page, now)?;
-        let old_ctrs = ctrs;
-        let overflowed = ctrs.shred(self.config.shred_strategy);
-        if overflowed {
-            // Only ShredStrategy::MinorIncrementAll can land here; no
-            // single block is exempt from re-encryption, so pass an
-            // out-of-band skip index by re-encrypting all live blocks.
-            self.stats.reencryptions.inc();
-            for b in 0..BLOCKS_PER_PAGE {
-                if old_ctrs.is_shredded(b) {
-                    continue;
-                }
-                let addr = page.block_addr(b);
-                self.sched(now, self.config.nvm_timing.read_cycles());
-                let cipher = self.nvm_read_data(addr)?;
-                self.stats.mem.reads.inc();
-                let plain = self.decrypt_ctr(addr, &old_ctrs, &cipher)?;
-                self.deuce_meta.remove(&addr.raw());
-                let engine = engine_of(&self.ctr, "ctr")?;
-                let new_cipher = engine.encrypt_line(&ctrs.iv(page.raw(), b), &plain);
-                self.sched(now, self.config.nvm_timing.write_cycles());
-                self.nvm_write_data(addr, &new_cipher)?;
-                self.stats.mem.writes.inc();
-            }
-        }
-        // Drop DEUCE state: the page restarts from scratch.
-        for b in 0..BLOCKS_PER_PAGE {
-            self.deuce_meta.remove(&page.block_addr(b).raw());
-        }
-        self.install_counters(page, ctrs, true, now)?;
         Ok(latency)
     }
 
@@ -1670,10 +1668,37 @@ impl MemoryController {
 
     fn zero_page_in_place_inner(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         self.op_now = now;
+        let zero = [0u8; LINE_SIZE];
         for b in 0..BLOCKS_PER_PAGE {
             let addr = page.block_addr(b);
             self.check_data_addr(addr)?;
-            crate::protection::backend(self.config.protection).zero_line(self, addr, now)?;
+            match self.config.protection {
+                Protection::Plain => {
+                    self.nvm_write_data(addr, &zero)?;
+                }
+                Protection::Ecb => {
+                    let cipher = self.ecb.encrypt_line(&zero);
+                    self.nvm_write_data(addr, &cipher)?;
+                }
+                Protection::CounterMode => {
+                    let (mut ctrs, _) = self.fetch_counters(page, now)?;
+                    let old_ctrs = ctrs;
+                    if ctrs.bump_for_write(b) == BumpOutcome::Overflowed {
+                        self.tracer.emit(now, || TraceEvent::CounterOverflow {
+                            page,
+                            block: b as u8,
+                        });
+                        self.reencrypt_page(page, &old_ctrs, &ctrs, b, now)?;
+                    }
+                    let cipher = self.ctr.encrypt_line(&ctrs.iv(page.raw(), b), &zero);
+                    self.deuce_meta.remove(&addr.raw());
+                    self.nvm_write_data(addr, &cipher)?;
+                    self.install_counters(page, ctrs, true, now)?;
+                }
+                Protection::ScatteredTwoShare => {
+                    self.scattered_write_line(addr, &zero, now, false)?;
+                }
+            }
             self.stats.mem.writes.inc();
             self.stats.mem.zeroing_writes.inc();
         }
@@ -1681,40 +1706,6 @@ impl MemoryController {
         // One array write latency: the device zeroes rows internally in
         // parallel (optimistic, as in the RowClone paper).
         Ok(self.config.nvm_timing.write_cycles())
-    }
-
-    /// Counter-mode in-device zeroing of one block — the pre-trait
-    /// [`MemoryController::zero_page_in_place`] per-block body.
-    pub(crate) fn legacy_zero_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        let zero = [0u8; LINE_SIZE];
-        let page = addr.page();
-        let b = addr.block_in_page();
-        match self.config.encryption {
-            EncryptionMode::None => {
-                self.nvm_write_data(addr, &zero)?;
-            }
-            EncryptionMode::Ecb => {
-                let cipher = engine_of(&self.ecb, "ecb")?.encrypt_line(&zero);
-                self.nvm_write_data(addr, &cipher)?;
-            }
-            EncryptionMode::Ctr => {
-                let (mut ctrs, _) = self.fetch_counters(page, now)?;
-                let old_ctrs = ctrs;
-                if ctrs.bump_for_write(b) == BumpOutcome::Overflowed {
-                    self.tracer.emit(now, || TraceEvent::CounterOverflow {
-                        page,
-                        block: b as u8,
-                    });
-                    self.reencrypt_page(page, &old_ctrs, &ctrs, b, now)?;
-                }
-                let engine = engine_of(&self.ctr, "ctr")?;
-                let cipher = engine.encrypt_line(&ctrs.iv(page.raw(), b), &zero);
-                self.deuce_meta.remove(&addr.raw());
-                self.nvm_write_data(addr, &cipher)?;
-                self.install_counters(page, ctrs, true, now)?;
-            }
-        }
-        Ok(())
     }
 
     /// Flushes dirty counter blocks to NVM (battery-backed write-back
@@ -1942,7 +1933,12 @@ impl MemoryController {
             self.persist.victim_flush = false;
         }
         report.root_verified = true;
-        crate::protection::backend(self.config.protection).recovery_reverify(self, &mut report)?;
+        self.reverify_counter_region()?;
+        // Counter-mode counters and scattered liveness lines both mark
+        // shredded pages; the census re-establishes that they zero-fill.
+        if self.config.protection.has_counter_region() {
+            report.shredded_pages += self.census_shredded();
+        }
         Ok(report)
     }
 
@@ -1986,27 +1982,6 @@ impl MemoryController {
         shredded
     }
 
-    /// Counter-mode reboot checks — the pre-trait
-    /// [`MemoryController::recover_mut`] tail: counter-region
-    /// re-verification plus the shred census (counter configs only).
-    pub(crate) fn legacy_recovery_reverify(&mut self, report: &mut RecoveryReport) -> Result<()> {
-        self.reverify_counter_region()?;
-        if self.config.encryption == EncryptionMode::Ctr {
-            report.shredded_pages += self.census_shredded();
-        }
-        Ok(())
-    }
-
-    /// Number of NVM counter lines maintained as counter-mode metadata
-    /// (zero for the unencrypted/ECB baselines, which keep no
-    /// per-line protection metadata).
-    pub(crate) fn counter_metadata_lines(&self) -> u64 {
-        match self.config.encryption {
-            EncryptionMode::Ctr => self.config.frames(),
-            EncryptionMode::None | EncryptionMode::Ecb => 0,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Scattered two-share backend (DESIGN.md §15).
     //
@@ -2026,11 +2001,7 @@ impl MemoryController {
 
     /// Scattered read: zero-fill for dead blocks, otherwise fetch both
     /// shares (in parallel across regions) and recombine.
-    pub(crate) fn scattered_read_line(
-        &mut self,
-        addr: BlockAddr,
-        now: Cycles,
-    ) -> Result<ReadResult> {
+    fn scattered_read_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
         let page = addr.page();
         let block = addr.block_in_page();
         let (ctrs, ctr_lat) = self.fetch_counters(page, now)?;
@@ -2077,7 +2048,7 @@ impl MemoryController {
     /// Scattered write: split `data` into a fresh share pair and persist
     /// both halves; first write to a dead block marks it live. `bus` is
     /// false on the in-device zeroing path (no channel scheduling).
-    pub(crate) fn scattered_write_line(
+    fn scattered_write_line(
         &mut self,
         addr: BlockAddr,
         data: &Line,
@@ -2117,7 +2088,7 @@ impl MemoryController {
     /// fresh randomness (destroying the pad pairing) and mark the page
     /// dead. The data-region shares are untouched — alone they are
     /// uniform noise.
-    pub(crate) fn scattered_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
+    fn scattered_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         let (mut ctrs, mut latency) = self.fetch_counters(page, now)?;
         let mut discarded = 0u32;
         for b in 0..BLOCKS_PER_PAGE {
@@ -2152,9 +2123,13 @@ impl MemoryController {
     /// Scattered rescue: a dead block's worn slot is retired outright; a
     /// live block is recombined and re-split under a *fresh* pad, so a
     /// spare never inherits previously used share material.
-    pub(crate) fn scattered_rescue_remap(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        let dev = self.device_addr(addr);
-        let slot = self.heal.redirect(dev);
+    fn scattered_rescue_remap(
+        &mut self,
+        addr: BlockAddr,
+        dev: BlockAddr,
+        slot: BlockAddr,
+        now: Cycles,
+    ) -> Result<()> {
         let page = addr.page();
         let block = addr.block_in_page();
         let (ctrs, _) = self.fetch_counters(page, now)?;
@@ -2207,7 +2182,7 @@ impl MemoryController {
 
     /// Scattered observation path: dead blocks observe zeros; live
     /// blocks recombine both shares (no stats, no timing).
-    pub(crate) fn scattered_peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
+    fn scattered_peek_plaintext(&mut self, addr: BlockAddr) -> Line {
         let page = addr.page();
         let caddr = self.counter_addr(page);
         let ctrs = match self.counter_cache.get(caddr) {
@@ -2215,30 +2190,11 @@ impl MemoryController {
             None => CounterBlock::from_line(&self.nvm.peek(caddr)),
         };
         if ctrs.is_shredded(addr.block_in_page()) {
-            return Ok([0u8; LINE_SIZE]);
+            return [0u8; LINE_SIZE];
         }
         let share_a = self.nvm_peek_data(addr);
         let share_b = self.nvm.peek(self.mask_addr(addr));
-        Ok(ss_crypto::share::recombine_shares(&share_a, &share_b))
-    }
-
-    /// Scattered reboot checks: the liveness metadata carries the same
-    /// integrity obligations as encryption counters, and the shred
-    /// census applies unconditionally (liveness is not tied to an
-    /// encryption mode).
-    pub(crate) fn scattered_recovery_reverify(
-        &mut self,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        self.reverify_counter_region()?;
-        report.shredded_pages += self.census_shredded();
-        Ok(())
-    }
-
-    /// NVM metadata footprint of the scattered backend: one liveness
-    /// line per page plus one mask line per data line.
-    pub(crate) fn scattered_metadata_lines(&self) -> u64 {
-        self.config.frames() + self.config.data_capacity / LINE_SIZE as u64
+        ss_crypto::share::recombine_shares(&share_a, &share_b)
     }
 
     // ------------------------------------------------------------------
@@ -2331,18 +2287,10 @@ impl MemoryController {
     /// As for [`MemoryController::read_block`].
     pub(crate) fn peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
         self.check_data_addr(addr)?;
-        crate::protection::backend(self.config.protection).peek_plaintext(self, addr)
-    }
-
-    /// Counter-mode observation path — the pre-trait
-    /// [`MemoryController::peek_plaintext`] body.
-    pub(crate) fn legacy_peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
-        match self.config.encryption {
-            EncryptionMode::None => Ok(self.nvm_peek_data(addr)),
-            EncryptionMode::Ecb => {
-                Ok(engine_of(&self.ecb, "ecb")?.decrypt_line(&self.nvm_peek_data(addr)))
-            }
-            EncryptionMode::Ctr => {
+        match self.config.protection {
+            Protection::Plain => Ok(self.nvm_peek_data(addr)),
+            Protection::Ecb => Ok(self.ecb.decrypt_line(&self.nvm_peek_data(addr))),
+            Protection::CounterMode => {
                 let page = addr.page();
                 let caddr = self.counter_addr(page);
                 let ctrs = match self.counter_cache.get(caddr) {
@@ -2353,8 +2301,9 @@ impl MemoryController {
                     return Ok([0u8; LINE_SIZE]);
                 }
                 let cipher = self.nvm_peek_data(addr);
-                self.decrypt_ctr(addr, &ctrs, &cipher)
+                Ok(self.decrypt_ctr(addr, &ctrs, &cipher))
             }
+            Protection::ScatteredTwoShare => Ok(self.scattered_peek_plaintext(addr)),
         }
     }
 
@@ -2483,16 +2432,6 @@ impl MemoryController {
     pub(crate) fn is_line_quarantined(&self, addr: BlockAddr) -> bool {
         self.heal.is_quarantined(self.device_addr(addr))
     }
-}
-
-/// Typed-error access to an optional crypto engine. The encryption
-/// mode guarantees the matching engine exists, but the controller and
-/// heal paths must never panic (SEC-001): a mode/engine mismatch
-/// surfaces as [`Error::InvalidConfig`] the harness can classify.
-fn engine_of<'a, T>(engine: &'a Option<T>, mode: &str) -> Result<&'a T> {
-    engine.as_ref().ok_or_else(|| Error::InvalidConfig {
-        detail: format!("{mode} operation issued without a {mode} engine"),
-    })
 }
 
 /// Builds the write queue for a configuration, if enabled. Fallible
@@ -2858,7 +2797,7 @@ mod tests {
     fn ecb_controller_roundtrips_but_leaks_equality() {
         let mut m = MemoryController::new(ControllerConfig {
             data_capacity: 1 << 20,
-            encryption: EncryptionMode::Ecb,
+            protection: Protection::Ecb,
             shredder: false,
             integrity: false,
             ..ControllerConfig::default()

@@ -41,11 +41,11 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EncryptionMode,
-    MemoryController, ProtectionMode, ReadResult, ShardedConfig, ShardedController, ShredStrategy,
-    WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, Protection,
+    ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig, SHRED_REG,
 };
 
+use crate::engine::json_escape;
 use crate::shadow::Line;
 
 /// Domain separator for attack-scenario RNG streams (distinct from the
@@ -305,26 +305,6 @@ impl fmt::Display for AttackReport {
         }
         Ok(())
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One named machine configuration under attack.
@@ -1290,7 +1270,7 @@ fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Ver
 /// on-chip Merkle root (which the adversary cannot roll back) must
 /// reject the stale counter.
 fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
-    if cfg.controller.protection == ProtectionMode::ScatteredTwoShare {
+    if cfg.controller.protection == Protection::ScatteredTwoShare {
         // Live scattered overwrites never touch the liveness line, so a
         // captured metadata line is usually still current and rolling it
         // back is a semantic no-op — there is nothing for the Merkle
@@ -1303,7 +1283,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
                 .into(),
         ));
     }
-    if cfg.controller.encryption != EncryptionMode::Ctr {
+    if cfg.controller.protection != Protection::CounterMode {
         return Ok((
             AttackOutcome::Skipped,
             "no counters to roll back in this encryption mode".into(),
@@ -1501,7 +1481,7 @@ mod tests {
     #[test]
     fn scattered_matrix_never_leaks() {
         for cfg in AttackConfig::scattered_matrix() {
-            assert_eq!(cfg.controller.protection, ProtectionMode::ScatteredTwoShare);
+            assert_eq!(cfg.controller.protection, Protection::ScatteredTwoShare);
             for seed in 0..4 {
                 let report = run_attacks(&cfg, seed);
                 assert!(

@@ -12,8 +12,8 @@ use std::fmt;
 
 use ss_common::{Cycles, DetRng, Error, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, EncryptionMode,
-    MemoryController, ProtectionMode, WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, MemoryController,
+    Protection, WriteQueueConfig, SHRED_REG,
 };
 
 use ss_trace::{MetricsRegistry, TraceRecord};
@@ -143,7 +143,7 @@ impl HarnessConfig {
                 format!("ecb{wq}"),
                 build(
                     base()
-                        .encryption(EncryptionMode::Ecb)
+                        .protection(Protection::Ecb)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(queued.then(Self::small_queue)),
@@ -153,7 +153,7 @@ impl HarnessConfig {
                 format!("plain{wq}"),
                 build(
                     base()
-                        .encryption(EncryptionMode::None)
+                        .protection(Protection::Plain)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(queued.then(Self::small_queue)),
@@ -213,9 +213,14 @@ impl HarnessConfig {
 
     /// Whether untouched lines architecturally read as zero under this
     /// configuration (Silent Shredder zero-fills them; a plain array
-    /// genuinely holds zeros; other modes decrypt fresh cells to noise).
+    /// genuinely holds zeros; the scattered backend zero-fills dead
+    /// blocks; other modes decrypt fresh cells to noise).
     fn zero_fresh(&self) -> bool {
-        self.controller.shredder || self.controller.encryption == EncryptionMode::None
+        self.controller.shredder
+            || matches!(
+                self.controller.protection,
+                Protection::Plain | Protection::ScatteredTwoShare
+            )
     }
 }
 
@@ -423,7 +428,7 @@ impl FaultRecord {
 }
 
 /// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -705,8 +710,7 @@ fn verify_all(
     // no plaintext: every encrypted mode, and the scattered backend
     // (whose data region holds a uniform-random share). Gate on the
     // protection kind, not counter-cache internals.
-    let array_is_opaque = cfg.controller.encryption != EncryptionMode::None
-        || cfg.controller.protection == ProtectionMode::ScatteredTwoShare;
+    let array_is_opaque = cfg.controller.protection != Protection::Plain;
     if array_is_opaque && shadow.secret_count() > 0 {
         for (addr, raw) in mc.faults().cold_scan_data() {
             if shadow.is_secret(&raw) {
@@ -1064,13 +1068,13 @@ fn data_bit_flip(
     let diff_bytes: Vec<usize> = (0..LINE_SIZE)
         .filter(|&i| r.data[i] != expected[i])
         .collect();
-    let bounded = match cfg.controller.encryption {
+    let bounded = match cfg.controller.protection {
         // XOR-stream modes (and no encryption): exactly the flipped bit.
-        EncryptionMode::None | EncryptionMode::Ctr => {
+        Protection::Plain | Protection::CounterMode | Protection::ScatteredTwoShare => {
             diff_bytes == [bit / 8] && r.data[bit / 8] ^ expected[bit / 8] == 1 << (bit % 8)
         }
         // ECB: garbling confined to the 16 B AES chunk holding the bit.
-        EncryptionMode::Ecb => {
+        Protection::Ecb => {
             let chunk = bit / 8 / 16;
             diff_bytes.iter().all(|&i| i / 16 == chunk)
         }
@@ -1176,10 +1180,10 @@ mod tests {
         assert!(matrix.iter().any(|c| c.controller.write_queue.is_some()));
         assert!(matrix
             .iter()
-            .any(|c| c.controller.encryption == EncryptionMode::Ecb));
+            .any(|c| c.controller.protection == Protection::Ecb));
         assert!(matrix
             .iter()
-            .any(|c| c.controller.encryption == EncryptionMode::None));
+            .any(|c| c.controller.protection == Protection::Plain));
         assert!(
             matrix
                 .iter()
@@ -1200,7 +1204,7 @@ mod tests {
         let matrix = HarnessConfig::scattered_matrix();
         assert!(matrix.len() >= 5, "scattered sweep needs >= 5 configs");
         for cfg in &matrix {
-            assert_eq!(cfg.controller.protection, ProtectionMode::ScatteredTwoShare);
+            assert_eq!(cfg.controller.protection, Protection::ScatteredTwoShare);
             cfg.controller.validate().expect("scattered config invalid");
         }
         let a = run_plan(&matrix[0], 11);

@@ -55,8 +55,8 @@ pub use crash::{
     CrashTally,
 };
 pub use engine::{
-    run_plan, run_plan_full, FaultOutcome, FaultRecord, HarnessConfig, PlanArtifacts, PlanReport,
-    Tally,
+    json_escape, run_plan, run_plan_full, FaultOutcome, FaultRecord, HarnessConfig, PlanArtifacts,
+    PlanReport, Tally,
 };
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
 pub use scenario::{

@@ -1,7 +1,7 @@
 //! Seeded fault plans.
 
 use ss_common::{DetRng, BLOCKS_PER_PAGE, LINE_SIZE};
-use ss_core::{ControllerConfig, EncryptionMode, ProtectionMode};
+use ss_core::{ControllerConfig, Protection};
 
 /// One kind of injected fault. Only kinds applicable to the controller
 /// configuration are ever scheduled (e.g. counter tampering is pointless
@@ -103,23 +103,20 @@ impl FaultPlan {
             FaultKind::DataBitFlip,
             FaultKind::ShredDenied,
         ];
-        if cfg.encryption == EncryptionMode::Ctr {
+        if cfg.protection.has_counter_region() {
+            // Counter-mode counters and scattered liveness metadata live
+            // in the counter cache/region, so cache drops and (with
+            // integrity) metadata bit flips apply to both.
             candidates.push(FaultKind::CounterCacheLineDrop);
             if cfg.integrity {
                 candidates.push(FaultKind::CounterBitFlip);
-                candidates.push(FaultKind::CounterReplay);
-            }
-        }
-        if cfg.protection == ProtectionMode::ScatteredTwoShare {
-            // The scattered backend keeps its liveness metadata in the
-            // counter cache/region, so cache drops and (with integrity)
-            // metadata bit flips apply. CounterReplay does not: live
-            // scattered writes leave the liveness line unchanged, so a
-            // captured line is often still current and the replay is a
-            // semantic no-op rather than a detectable rollback.
-            candidates.push(FaultKind::CounterCacheLineDrop);
-            if cfg.integrity {
-                candidates.push(FaultKind::CounterBitFlip);
+                // CounterReplay is counter-mode only: live scattered
+                // writes leave the liveness line unchanged, so a captured
+                // line is often still current and the replay is a
+                // semantic no-op rather than a detectable rollback.
+                if cfg.protection == Protection::CounterMode {
+                    candidates.push(FaultKind::CounterReplay);
+                }
             }
         }
         if cfg.shredder {

@@ -58,7 +58,7 @@ pub use ss_workloads as workloads;
 pub mod prelude {
     pub use ss_common::{BlockAddr, Cycles, Error, PageId, PhysAddr, Result, VirtAddr};
     pub use ss_core::{
-        ControllerConfig, ControllerConfigBuilder, MemoryController, ProtectionMode, ShredStrategy,
+        ControllerConfig, ControllerConfigBuilder, MemoryController, Protection, ShredStrategy,
     };
     pub use ss_cpu::Op;
     pub use ss_os::{Kernel, KernelConfig, ZeroStrategy};
