@@ -9,16 +9,18 @@
 //!   (write savings / read savings / read speedup / IPC), Fig. 12
 //!   (counter-cache size sweep), Table 2 (measured feature matrix of
 //!   initialization mechanisms), plus the ablations DESIGN.md lists.
+//! * [`sweep`] — the one CLI driver behind the `faultsweep`,
+//!   `attacksweep` and `crashsweep` binaries, generic over the
+//!   `ss-harness` [`Campaign`](ss_harness::Campaign) kinds.
 //!
-//! The `repro` binary prints each artifact, and the `faultsweep`,
-//! `attacksweep` and `crashsweep` binaries run the fault, adversary and
-//! crash campaigns from the `ss-harness` crate. Host-time measurement
+//! The `repro` binary prints each artifact. Host-time measurement
 //! lives in the root package's `perfbench` binary.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod runner;
+pub mod sweep;
 
 pub use experiments::{
     ablation_counter_persistence, ablation_counter_strategy, ablation_dcw_fnw, ablation_endurance,

@@ -1,4 +1,4 @@
-//! Byte-identity and red-exit gates for the sweep binaries.
+//! Byte-identity and red-exit gates for the sweep and bench binaries.
 //!
 //! Every `ci/*.golden.*` file is the output of one 8-seed sweep run.
 //! The sweeps are pure functions of their seed sets: no wall-clock, no
@@ -16,8 +16,16 @@
 //!     > ci/faultsweep-scattered-seeds8.golden.txt
 //! ```
 //!
-//! The red-exit tests prove each gate can fire by running a
+//! [`BENCH_REPORTS`] does the same for the committed `BENCH_*.json`
+//! reports at the repository root (regenerate with, e.g.,
+//! `cargo run --release -p ss-bench --bin shardbench -- --json
+//! BENCH_sharding.json`); both benches also exit red when their own
+//! gate fails.
+//!
+//! The red-exit tests prove each sweep gate can fire by running a
 //! deliberately weakened configuration and demanding a nonzero exit.
+//! CI runs this file against release binaries
+//! (`cargo test --release -p ss-bench --test goldens`).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -77,8 +85,20 @@ const RUNS: &[Run] = &[
     },
 ];
 
+/// Each bench binary and its committed `--json` report at the
+/// repository root. Kept apart from [`RUNS`], which covers `ci/`
+/// exactly.
+const BENCH_REPORTS: &[(&str, &str)] = &[
+    (env!("CARGO_BIN_EXE_protbench"), "BENCH_protection.json"),
+    (env!("CARGO_BIN_EXE_shardbench"), "BENCH_sharding.json"),
+];
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn ci_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci")
+    repo_root().join("ci")
 }
 
 fn read(path: &Path) -> String {
@@ -146,6 +166,40 @@ fn every_ci_golden_is_byte_identical() {
             .collect()
     });
     assert!(drift.is_empty(), "reports drifted from ci/: {drift:?}");
+}
+
+#[test]
+fn every_bench_report_is_byte_identical() {
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let drift: Vec<&str> = std::thread::scope(|s| {
+        let handles: Vec<_> = BENCH_REPORTS
+            .iter()
+            .map(|&(exe, report)| {
+                s.spawn(move || {
+                    let fresh = scratch.join(report);
+                    let output = Command::new(exe)
+                        .arg("--json")
+                        .arg(&fresh)
+                        .output()
+                        .expect("running bench");
+                    assert!(
+                        output.status.success(),
+                        "{exe} failed:\n{}",
+                        String::from_utf8_lossy(&output.stdout)
+                    );
+                    (read(&fresh) != read(&repo_root().join(report))).then_some(report)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("bench thread"))
+            .collect()
+    });
+    assert!(
+        drift.is_empty(),
+        "reports drifted from the repository root: {drift:?}"
+    );
 }
 
 /// Runs a sweep and returns whether it exited green, plus its report.

@@ -45,6 +45,7 @@ use ss_core::{
     ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig, SHRED_REG,
 };
 
+use crate::campaign::{Campaign, CampaignReport, CampaignTally};
 use crate::engine::json_escape;
 use crate::shadow::Line;
 
@@ -205,23 +206,25 @@ impl AttackTally {
             AttackOutcome::Skipped => self.skipped += 1,
         }
     }
+}
 
-    /// Adds every count of `other`.
-    pub fn merge(&mut self, other: AttackTally) {
+impl CampaignTally for AttackTally {
+    fn merge(&mut self, other: AttackTally) {
         self.defended += other.defended;
         self.detected += other.detected;
         self.leaked += other.leaked;
         self.skipped += other.skipped;
     }
 
-    /// Total attacks tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.defended + self.detected + self.leaked + self.skipped
     }
 
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn failed(&self) -> u64 {
+        self.leaked
+    }
+
+    fn to_json(&self) -> String {
         format!(
             "{{\"defended\":{},\"detected\":{},\"leaked\":{},\"skipped\":{}}}",
             self.defended, self.detected, self.leaked, self.skipped
@@ -251,9 +254,10 @@ pub struct AttackReport {
     pub records: Vec<AttackRecord>,
 }
 
-impl AttackReport {
-    /// Outcome counts for this report.
-    pub fn tally(&self) -> AttackTally {
+impl CampaignReport for AttackReport {
+    type Tally = AttackTally;
+
+    fn tally(&self) -> AttackTally {
         let mut t = AttackTally::default();
         for r in &self.records {
             t.absorb(r.outcome);
@@ -262,14 +266,14 @@ impl AttackReport {
     }
 
     /// True when no attack leaked.
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.tally().leaked == 0
     }
 
     /// Renders the full report as one JSON object on a single line:
     /// fixed key order, records in attack order, no maps anywhere on
     /// the path. `attacksweep --json` embeds this verbatim.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
             json_escape(&self.label),
@@ -340,12 +344,26 @@ impl AttackConfig {
             ..AttackConfig::new(label, controller)
         }
     }
+}
+
+impl Campaign for AttackConfig {
+    type Report = AttackReport;
+    const BIN: &'static str = "attacksweep";
+    const DEFAULT_SEEDS: u64 = 32;
+    const LABEL_WIDTH: usize = 18;
+    const COUNTED: &'static str = "attacks run";
+    const CLEAN: &'static str = "zero leaked outcomes";
+    const FAILED: &'static str = "leaked";
+
+    fn label(&self) -> &str {
+        &self.label
+    }
 
     /// The default attack matrix: the paper's secure configuration
     /// across counter persistence, write queueing, healing pressure,
     /// and sharding. Every config defends every attack — `attacksweep`
     /// demands zero `Leaked` over this matrix.
-    pub fn matrix() -> Vec<AttackConfig> {
+    fn matrix() -> Vec<AttackConfig> {
         let base = ControllerConfigBuilder::small_test;
         let build = |b: ControllerConfigBuilder| b.build().expect("attack matrix config");
         let queue = WriteQueueConfig {
@@ -376,7 +394,7 @@ impl AttackConfig {
     /// processor key — and must still classify `Defended`, because
     /// after a shred the surviving data share recombines with fresh
     /// randomness to nothing.
-    pub fn scattered_matrix() -> Vec<AttackConfig> {
+    fn scattered_matrix() -> Vec<AttackConfig> {
         let base = || {
             ControllerConfigBuilder::scattered()
                 .data_capacity(1 << 20)
@@ -401,14 +419,18 @@ impl AttackConfig {
     /// rollback-replay attack *succeeds* against it. Used to verify the
     /// sweep actually turns red on a leak — it is never part of
     /// [`AttackConfig::matrix`].
-    pub fn weakened() -> AttackConfig {
-        AttackConfig::new(
+    fn weakened() -> Option<AttackConfig> {
+        Some(AttackConfig::new(
             "weak-nomt",
             ControllerConfigBuilder::small_test()
                 .integrity(false)
                 .build()
                 .expect("weakened config"),
-        )
+        ))
+    }
+
+    fn run(&self, seed: u64) -> AttackReport {
+        run_attacks(self, seed)
     }
 }
 
@@ -1514,7 +1536,7 @@ mod tests {
 
     #[test]
     fn weakened_config_leaks_on_rollback() {
-        let cfg = AttackConfig::weakened();
+        let cfg = AttackConfig::weakened().expect("attack campaign has a weakened row");
         let record = run_attack(&cfg, AttackKind::RollbackReplay, 0);
         assert_eq!(
             record.outcome,

@@ -40,6 +40,7 @@ use ss_core::{
     Protection, ReadResult, RecoveryReport, ShardedConfig, ShardedController, WriteQueueConfig,
 };
 
+use crate::campaign::{Campaign, CampaignReport, CampaignTally};
 use crate::engine::json_escape;
 
 /// A 64-byte line.
@@ -235,9 +236,10 @@ impl CrashTally {
             CrashOutcome::Silent => self.silent += 1,
         }
     }
+}
 
-    /// Adds every count of `other`.
-    pub fn merge(&mut self, other: CrashTally) {
+impl CampaignTally for CrashTally {
+    fn merge(&mut self, other: CrashTally) {
         self.old_state += other.old_state;
         self.new_state += other.new_state;
         self.repaired += other.repaired;
@@ -245,14 +247,15 @@ impl CrashTally {
         self.silent += other.silent;
     }
 
-    /// Total crash points tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.old_state + self.new_state + self.repaired + self.skipped + self.silent
     }
 
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn failed(&self) -> u64 {
+        self.silent
+    }
+
+    fn to_json(&self) -> String {
         format!(
             "{{\"old_state\":{},\"new_state\":{},\"repaired\":{},\"skipped\":{},\"silent\":{}}}",
             self.old_state, self.new_state, self.repaired, self.skipped, self.silent
@@ -282,9 +285,10 @@ pub struct CrashReport {
     pub records: Vec<CrashRecord>,
 }
 
-impl CrashReport {
-    /// Outcome counts for this report.
-    pub fn tally(&self) -> CrashTally {
+impl CampaignReport for CrashReport {
+    type Tally = CrashTally;
+
+    fn tally(&self) -> CrashTally {
         let mut t = CrashTally::default();
         for r in &self.records {
             t.absorb(r.outcome);
@@ -293,14 +297,14 @@ impl CrashReport {
     }
 
     /// True when no crash point went silent.
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.tally().silent == 0
     }
 
     /// Renders the full report as one JSON object on a single line:
     /// fixed key order, records in sweep order. `crashsweep --json`
     /// embeds this verbatim.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
             json_escape(&self.label),
@@ -384,6 +388,20 @@ impl CrashConfig {
             drain_high: 6,
         }
     }
+}
+
+impl Campaign for CrashConfig {
+    type Report = CrashReport;
+    const BIN: &'static str = "crashsweep";
+    const DEFAULT_SEEDS: u64 = 8;
+    const LABEL_WIDTH: usize = 20;
+    const COUNTED: &'static str = "crash points";
+    const CLEAN: &'static str = "zero silent outcomes";
+    const FAILED: &'static str = "silent";
+
+    fn label(&self) -> &str {
+        &self.label
+    }
 
     /// The default crash matrix: the ADR persist-step model across
     /// counter persistence, encryption mode, write queueing, and
@@ -391,7 +409,7 @@ impl CrashConfig {
     /// there, preserving the historical queue-drain-on-power-loss
     /// behaviour). Every config resolves every crash point; `crashsweep`
     /// demands zero `Silent` over this matrix.
-    pub fn matrix() -> Vec<CrashConfig> {
+    fn matrix() -> Vec<CrashConfig> {
         let build = |b: ControllerConfigBuilder| b.build().expect("crash matrix config");
         let adr = || ControllerConfigBuilder::small_test().persist_domain(PersistDomain::Adr);
         let adr_wt = || build(adr().counter_persistence(CounterPersistence::WriteThrough));
@@ -436,7 +454,7 @@ impl CrashConfig {
     /// point, so a cut between the two share writes must roll back to a
     /// coherent pair — the sweep proves a torn pair can never recombine
     /// to garbage.
-    pub fn scattered_matrix() -> Vec<CrashConfig> {
+    fn scattered_matrix() -> Vec<CrashConfig> {
         let base = |domain: PersistDomain, persistence: CounterPersistence| {
             ControllerConfigBuilder::scattered()
                 .data_capacity(1 << 20)
@@ -477,9 +495,9 @@ impl CrashConfig {
     /// reboot recovery protocol disabled. Cutting between a demand
     /// write's data and counter steps leaves new ciphertext under the
     /// old IV — garbage that decrypts silently. `crashsweep --weakened`
-    /// must exit red; CI runs it to prove the gate fires.
-    pub fn weakened() -> CrashConfig {
-        CrashConfig {
+    /// must exit red, which proves the gate fires.
+    fn weakened() -> Option<CrashConfig> {
+        Some(CrashConfig {
             recovery: false,
             ..CrashConfig::new(
                 "weakened-norecovery",
@@ -489,7 +507,11 @@ impl CrashConfig {
                     .build()
                     .expect("weakened crash config"),
             )
-        }
+        })
+    }
+
+    fn run(&self, seed: u64) -> CrashReport {
+        run_crash_config(self, seed)
     }
 }
 
@@ -1139,7 +1161,11 @@ mod tests {
             cfg.controller.validate().expect("matrix config invalid");
             assert!(cfg.recovery, "matrix configs all recover");
         }
-        assert!(!CrashConfig::weakened().recovery);
+        assert!(
+            !CrashConfig::weakened()
+                .expect("crash campaign has a weakened row")
+                .recovery
+        );
     }
 
     #[test]
@@ -1196,7 +1222,7 @@ mod tests {
 
     #[test]
     fn weakened_config_goes_silent() {
-        let cfg = CrashConfig::weakened();
+        let cfg = CrashConfig::weakened().expect("crash campaign has a weakened row");
         let report = run_crash_config(&cfg, 0);
         assert!(
             report.tally().silent > 0,

@@ -18,6 +18,7 @@ use ss_core::{
 
 use ss_trace::{MetricsRegistry, TraceRecord};
 
+use crate::campaign::{Campaign, CampaignReport, CampaignTally};
 use crate::plan::{FaultKind, FaultPlan, ScheduledFault};
 use crate::shadow::{Line, ShadowModel};
 
@@ -59,6 +60,33 @@ impl HarnessConfig {
         }
     }
 
+    /// Whether untouched lines architecturally read as zero under this
+    /// configuration (Silent Shredder zero-fills them; a plain array
+    /// genuinely holds zeros; the scattered backend zero-fills dead
+    /// blocks; other modes decrypt fresh cells to noise).
+    fn zero_fresh(&self) -> bool {
+        self.controller.shredder
+            || matches!(
+                self.controller.protection,
+                Protection::Plain | Protection::ScatteredTwoShare
+            )
+    }
+}
+
+impl Campaign for HarnessConfig {
+    type Report = PlanArtifacts;
+    const BIN: &'static str = "faultsweep";
+    const DEFAULT_SEEDS: u64 = 32;
+    const LABEL_WIDTH: usize = 18;
+    const COUNTED: &'static str = "faults injected";
+    const CLEAN: &'static str = "zero undetected corruptions";
+    const FAILED: &'static str = "corrupted";
+    const OBSERVABLE: bool = true;
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
     /// The full sweep matrix: encryption mode × counter persistence ×
     /// integrity × write queue, all on the `small_test` footprint.
     ///
@@ -66,7 +94,7 @@ impl HarnessConfig {
     /// product; the non-counter modes (ECB, plain) only vary the queue,
     /// since persistence and integrity are counter properties. Two extra
     /// entries cover the no-shredder CTR baseline and DEUCE.
-    pub fn matrix() -> Vec<HarnessConfig> {
+    fn matrix() -> Vec<HarnessConfig> {
         let base = ControllerConfigBuilder::small_test;
         let build = |b: ControllerConfigBuilder| b.build().expect("matrix config must build");
         let mut out = Vec::new();
@@ -174,7 +202,7 @@ impl HarnessConfig {
     /// write queue, DEUCE, and Start-Gap wear levelling are rejected for
     /// scattered configs at the builder choke point (no share-consistent
     /// story; see `ControllerConfig::validate`).
-    pub fn scattered_matrix() -> Vec<HarnessConfig> {
+    fn scattered_matrix() -> Vec<HarnessConfig> {
         let base = || {
             ControllerConfigBuilder::scattered()
                 .data_capacity(1 << 20)
@@ -211,16 +239,12 @@ impl HarnessConfig {
         out
     }
 
-    /// Whether untouched lines architecturally read as zero under this
-    /// configuration (Silent Shredder zero-fills them; a plain array
-    /// genuinely holds zeros; the scattered backend zero-fills dead
-    /// blocks; other modes decrypt fresh cells to noise).
-    fn zero_fresh(&self) -> bool {
-        self.controller.shredder
-            || matches!(
-                self.controller.protection,
-                Protection::Plain | Protection::ScatteredTwoShare
-            )
+    fn run(&self, seed: u64) -> PlanArtifacts {
+        run_plan_full(self, seed, None)
+    }
+
+    fn run_traced(&self, seed: u64, depth: usize) -> PlanArtifacts {
+        run_plan_full(self, seed, Some(depth))
     }
 }
 
@@ -311,9 +335,10 @@ impl Tally {
             FaultOutcome::Corrupted => self.corrupted += 1,
         }
     }
+}
 
-    /// Adds every count of `other`.
-    pub fn merge(&mut self, other: Tally) {
+impl CampaignTally for Tally {
+    fn merge(&mut self, other: Tally) {
         self.recovered += other.recovered;
         self.detected += other.detected;
         self.benign += other.benign;
@@ -321,14 +346,15 @@ impl Tally {
         self.corrupted += other.corrupted;
     }
 
-    /// Total faults tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.recovered + self.detected + self.benign + self.skipped + self.corrupted
     }
 
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn failed(&self) -> u64 {
+        self.corrupted
+    }
+
+    fn to_json(&self) -> String {
         format!(
             "{{\"recovered\":{},\"detected\":{},\"benign\":{},\"skipped\":{},\"corrupted\":{}}}",
             self.recovered, self.detected, self.benign, self.skipped, self.corrupted
@@ -480,6 +506,36 @@ pub struct PlanArtifacts {
     /// Retained trace records, oldest first; empty when tracing was
     /// disabled.
     pub trace: Vec<TraceRecord>,
+}
+
+impl fmt::Display for PlanArtifacts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.report.fmt(f)
+    }
+}
+
+impl CampaignReport for PlanArtifacts {
+    type Tally = Tally;
+
+    fn tally(&self) -> Tally {
+        self.report.tally()
+    }
+
+    fn clean(&self) -> bool {
+        self.report.clean()
+    }
+
+    fn to_json(&self) -> String {
+        self.report.to_json()
+    }
+
+    fn metrics(&self) -> Option<&MetricsRegistry> {
+        Some(&self.metrics)
+    }
+
+    fn trace(&self) -> &[TraceRecord] {
+        &self.trace
+    }
 }
 
 /// Runs the seeded fault plan against `cfg` and classifies every fault.

@@ -28,18 +28,28 @@
 //!   decrypt, counter rollback and stale-ciphertext replay) driven
 //!   through multi-step attack scenarios whose outcomes are classified
 //!   `Defended`/`Detected`/`Leaked` — any `Leaked` fails the sweep.
-//!   `attacksweep` (in `crates/bench`) runs the attack × seed × config
-//!   matrix and is gated in CI against a committed golden report.
+//! * [`crash`] — the torn-write crash matrix: every persist step of
+//!   every victim operation cut whole and torn, each crash point
+//!   classified, any `Silent` outcome failing the sweep.
+//! * [`campaign`] — the [`Campaign`] trait the three sweeps share:
+//!   [`HarnessConfig`], [`AttackConfig`] and [`CrashConfig`] each give a
+//!   config matrix, a scattered matrix, an optional weakened row, and a
+//!   `run(seed)` whose report tallies, renders and says whether it is
+//!   clean. One generic driver in `crates/bench` (`ss_bench::sweep`)
+//!   turns each into its binary: `faultsweep`, `attacksweep` and
+//!   `crashsweep`, whose 8-seed campaigns are pinned byte for byte
+//!   against committed goldens.
 //!
 //! Everything is seeded through [`ss_common::DetRng`]: the same seed
 //! always produces the same plan, the same workload, and the same
-//! report. `faultsweep --seed N` (in `crates/bench`) replays one plan
-//! with per-fault detail; `attacksweep --seed N` does the same for
-//! attack scripts.
+//! report. `faultsweep --seed N` replays one plan with per-fault
+//! detail; `attacksweep --seed N` and `crashsweep --seed N` do the same
+//! for attack scripts and crash points.
 
 #![forbid(unsafe_code)]
 
 pub mod adversary;
+pub mod campaign;
 pub mod crash;
 pub mod engine;
 pub mod plan;
@@ -50,6 +60,7 @@ pub use adversary::{
     demo_records, run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome,
     AttackRecord, AttackReport, AttackTally, DimmImage,
 };
+pub use campaign::{Campaign, CampaignReport, CampaignTally};
 pub use crash::{
     run_crash_config, CrashConfig, CrashOutcome, CrashRecord, CrashReport, CrashScenario,
     CrashTally,

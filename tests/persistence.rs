@@ -207,7 +207,8 @@ fn whole_system_volatile_crash_is_detected() {
 // ---------------------------------------------------------------------
 
 use ss_harness::{
-    crash_at_depth_sharded, run_crash_config, CrashConfig, CrashTally, CrashVerdict as V,
+    crash_at_depth_sharded, run_crash_config, Campaign, CampaignReport, CampaignTally, CrashConfig,
+    CrashTally, CrashVerdict as V,
 };
 
 #[test]

@@ -169,7 +169,7 @@ fn regression_attack_cold_scan_is_shard_major_address_ordered() {
 /// lines rely on.
 #[test]
 fn regression_attack_records_follow_attack_kind_order() {
-    use ss_harness::{run_attacks, AttackConfig, AttackKind};
+    use ss_harness::{run_attacks, AttackConfig, AttackKind, Campaign};
     for cfg in AttackConfig::matrix() {
         let report = run_attacks(&cfg, 17);
         let kinds: Vec<AttackKind> = report.records.iter().map(|r| r.kind).collect();
@@ -184,7 +184,7 @@ fn regression_attack_records_follow_attack_kind_order() {
 /// unseeded source leaks into the attack path.
 #[test]
 fn regression_attack_reports_byte_stable_across_runs() {
-    use ss_harness::{run_attacks, AttackConfig};
+    use ss_harness::{run_attacks, AttackConfig, Campaign, CampaignReport};
     for cfg in AttackConfig::matrix() {
         for seed in [0u64, 19] {
             let a = run_attacks(&cfg, seed);

@@ -11,7 +11,10 @@
 use silent_shredder::common::{Cycles, Error, PageId};
 use silent_shredder::core::{CounterPersistence, Protection};
 use silent_shredder::prelude::*;
-use ss_harness::{run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome};
+use ss_harness::{
+    run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome, Campaign,
+    CampaignReport,
+};
 
 const SECRET: [u8; 64] = *b"TOP-SECRET private key material_TOP-SECRET private key material_";
 
@@ -57,7 +60,11 @@ fn weakened_config_proves_the_attacks_are_real() {
     // Negative control: drop the Merkle tree and rollback-replay
     // actually resurrects stale state. If this ever stops leaking, the
     // attack scripts have gone soft and the whole grid proves nothing.
-    let record = run_attack(&AttackConfig::weakened(), AttackKind::RollbackReplay, 0);
+    let record = run_attack(
+        &AttackConfig::weakened().expect("attack campaign has a weakened row"),
+        AttackKind::RollbackReplay,
+        0,
+    );
     assert_eq!(record.outcome, AttackOutcome::Leaked, "{record}");
 }
 
